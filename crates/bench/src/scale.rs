@@ -15,6 +15,7 @@
 //! the paths the calendar-queue/arena rework optimizes.
 
 use crate::policy_by_name;
+use distws_core::rng::mix64;
 use distws_core::{ClusterConfig, Locality, PlaceId, TaskScope, TaskSpec, Workload};
 use distws_json::{impl_to_json, Value};
 use distws_metrics::{peak_rss_kb, Counter, EngineMetrics};
@@ -63,14 +64,6 @@ struct ScaleRun {
     checksum: AtomicU64,
 }
 
-/// SplitMix64 finalizer: the per-task checksum contribution.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ScaleFanout {
     /// A fanout tree of `tasks` tasks, eight children per interior
     /// node (shallow and wide: ~7 levels at a million tasks).
@@ -97,7 +90,7 @@ fn fanout_task(run: Arc<ScaleRun>, id: u64) -> TaskSpec {
         move |s: &mut dyn TaskScope| {
             run.executed.fetch_add(1, Ordering::Relaxed);
             run.checksum
-                .fetch_add(mix(run.seed ^ id), Ordering::Relaxed);
+                .fetch_add(mix64(run.seed ^ id), Ordering::Relaxed);
             let first = id * run.fanout + 1;
             let last = (first + run.fanout).min(run.tasks);
             for child in first..last.max(first) {
@@ -138,7 +131,7 @@ impl Workload for ScaleFanout {
         }
         let mut want = 0u64;
         for id in 0..self.tasks {
-            want = want.wrapping_add(mix(self.seed ^ id));
+            want = want.wrapping_add(mix64(self.seed ^ id));
         }
         let got = run.checksum.load(Ordering::Relaxed);
         if got != want {

@@ -14,16 +14,8 @@
 //! root fold against a sequentially computed expectation.
 
 use crate::wire::WireTask;
+use distws_core::rng::mix64;
 use distws_core::{Locality, SplitMix64};
-
-/// The splitmix64 finalizer: a cheap, high-quality 64-bit mixer used
-/// for deterministic task ids, routing, and payload hashing.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Spawn interface handed to [`ClusterApp::execute`]: the place
 /// runtime assigns ids, routes children to their home place, and

@@ -55,12 +55,11 @@
 //! lead to a duplicate execution; the happens-before validator flags
 //! exactly this if it ever fires. See `docs/cluster.md`.
 
-use crate::app::{
-    app_by_name, locality_from_wire, locality_to_wire, mix64, ClusterApp, ClusterScope,
-};
+use crate::app::{app_by_name, locality_from_wire, locality_to_wire, ClusterApp, ClusterScope};
 use crate::clock::{cluster_retry_defaults, reconnect_defaults, Reconnector, WallRetry};
 use crate::hlc::Hlc;
 use crate::wire::{Frame, WireTask, TASK_RECOVERED, WIRE_VERSION};
+use distws_core::rng::mix64;
 use distws_core::{ClusterConfig, GlobalWorkerId, Locality, PlaceId, SplitMix64, TaskId, WorkerId};
 use distws_deque::{deque as chase_lev, SharedFifo, Stealer, Worker as PrivateDeque};
 use distws_json::Value;

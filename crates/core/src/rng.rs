@@ -5,6 +5,21 @@
 //! (`rand` is used at API boundaries where distributions are handy; the
 //! hot scheduler paths use this allocation-free generator directly.)
 
+/// SplitMix64's fixed state increment (the golden-ratio constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output function: advance `x` by one step and
+/// finalize it. A cheap, high-quality 64-bit mixer for deterministic
+/// ids, routing and checksums; `SplitMix64::new(x).next_u64() ==
+/// mix64(x)`.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: tiny, fast, full-period 2^64 generator. Good enough for
 /// victim selection and synthetic workload shapes; not cryptographic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,11 +36,9 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let old = self.state;
+        self.state = old.wrapping_add(GAMMA);
+        mix64(old)
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
@@ -80,6 +93,18 @@ mod tests {
         let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn mix64_is_the_generator_output() {
+        // Reference outputs of SplitMix64 for seeds 0 and 1234567.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(mix64(1_234_567), 6_457_827_717_110_365_317);
+        for seed in [0, 1, 42, u64::MAX] {
+            let mut r = SplitMix64::new(seed);
+            assert_eq!(r.next_u64(), mix64(seed));
+            assert_eq!(r.next_u64(), mix64(seed.wrapping_add(GAMMA)));
         }
     }
 

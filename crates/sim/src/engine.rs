@@ -468,11 +468,9 @@ struct Engine<'p> {
     running: Vec<Option<TaskId>>,
     /// When each parked worker went dormant/quiesced (dormancy hist).
     parked_since: Vec<Option<u64>>,
-    /// Fault injection. `faulty` caches "the fault config is
-    /// non-empty": every fault code path is gated on it so a fault-free
-    /// run takes the exact pre-fault-injection instruction sequence
-    /// (no extra random draws, costs or counters).
-    faulty: bool,
+    /// Fault injection. A fault-free run is an empty fault config on
+    /// the same code paths: no drop, kill or timeout ever fires, so no
+    /// extra random draws, costs or counters appear.
     alive: Vec<bool>,
     /// Per-place straggler multiplier (1.0 = nominal speed).
     slow: Vec<f64>,
@@ -568,7 +566,6 @@ impl<'p> Engine<'p> {
             hists: Hists::default(),
             running: vec![None; nw],
             parked_since: vec![None; nw],
-            faulty: !cfg.faults.is_empty(),
             alive: vec![true; np],
             slow: {
                 let mut slow = vec![1.0; np];
@@ -586,24 +583,22 @@ impl<'p> Engine<'p> {
             detect_ns: cfg.faults.detect_ns,
             lease_timeout_ns: cfg.faults.lease_timeout_ns,
         };
-        if engine.faulty {
-            engine
-                .cfg
-                .faults
-                .validate(engine.cfg.cluster.places)
-                .unwrap_or_else(|e| panic!("invalid fault config: {e}"));
-            let kills = engine.cfg.faults.kills.clone();
-            for (p, at) in kills {
-                engine.schedule(at, EventKind::PlaceFail(p, false));
-            }
-            let hard_kills = engine.cfg.faults.hard_kills.clone();
-            for (p, at) in hard_kills {
-                engine.schedule(at, EventKind::PlaceFail(p, true));
-            }
-            let restarts = engine.cfg.faults.restarts.clone();
-            for (p, at) in restarts {
-                engine.schedule(at, EventKind::PlaceRestart(p));
-            }
+        engine
+            .cfg
+            .faults
+            .validate(engine.cfg.cluster.places)
+            .unwrap_or_else(|e| panic!("invalid fault config: {e}"));
+        let kills = engine.cfg.faults.kills.clone();
+        for (p, at) in kills {
+            engine.schedule(at, EventKind::PlaceFail(p, false));
+        }
+        let hard_kills = engine.cfg.faults.hard_kills.clone();
+        for (p, at) in hard_kills {
+            engine.schedule(at, EventKind::PlaceFail(p, true));
+        }
+        let restarts = engine.cfg.faults.restarts.clone();
+        for (p, at) in restarts {
+            engine.schedule(at, EventKind::PlaceRestart(p));
         }
         engine
     }
@@ -717,9 +712,6 @@ impl<'p> Engine<'p> {
         kind: MsgKind,
         bytes: u64,
     ) -> u64 {
-        if !self.faulty {
-            return self.net.send(src, dst, kind, bytes);
-        }
         let mut delay = 0u64;
         let mut attempts = 0u32;
         loop {
@@ -1086,7 +1078,7 @@ impl<'p> Engine<'p> {
         }
         // A worker on a failed place flushes its finished task (the
         // body already ran) and halts instead of stealing again.
-        if self.faulty && !self.alive[self.place_of(w).index()] {
+        if !self.alive[self.place_of(w).index()] {
             self.unclaim(w);
             return;
         }
@@ -1099,7 +1091,7 @@ impl<'p> Engine<'p> {
         let place = self.tasks.get(tr).exec_home;
         // A task landing at a dead place was in flight when the place
         // failed (or was queued behind the failure event): recover it.
-        if self.faulty && !self.alive[place.index()] {
+        if !self.alive[place.index()] {
             self.recover_task(now, tr, place, 0);
             return;
         }
@@ -1300,7 +1292,7 @@ impl<'p> Engine<'p> {
     fn acquire(&mut self, now: u64, w: GlobalWorkerId) {
         let place = self.place_of(w);
         // A worker on a dead place never steals again (until restart).
-        if self.faulty && !self.alive[place.index()] {
+        if !self.alive[place.index()] {
             self.unclaim(w);
             self.workers[w.index()].status = WorkerStatus::Dormant;
             self.refresh_bits(w);
@@ -1424,100 +1416,7 @@ impl<'p> Engine<'p> {
                             },
                         );
                     }
-                    if self.faulty {
-                        self.remote_steal_faulty(now, &mut overhead, w, place, victim, &mut got);
-                        if got.is_some() {
-                            break;
-                        }
-                        continue;
-                    }
-                    if self.board.shared_len[victim.index()] == 0 {
-                        overhead += self.net.failed_steal(place, victim);
-                        self.drain_net(now + overhead, w);
-                        self.steals.failed_attempts += 1;
-                        continue;
-                    }
-                    let victim_len = self.board.shared_len[victim.index()];
-                    let chunk = self.policy.remote_chunk_for(victim_len);
-                    let mut taken = std::mem::take(&mut self.chunk_buf);
-                    self.places[victim.index()]
-                        .shared
-                        .take_chunk_into(chunk, &mut taken);
-                    self.board.shared_len[victim.index()] -= taken.len();
-                    let mut bytes = 0;
-                    for &t in &taken {
-                        let locality = self.tasks.get(t).locality;
-                        assert!(
-                            self.policy.may_migrate(locality),
-                            "policy {} migrated a non-migratable task",
-                            self.policy.name()
-                        );
-                        bytes +=
-                            self.cfg.cost.closure_bytes + self.tasks.get(t).footprint.total_bytes();
-                    }
-                    overhead += self.net.migrate_task(victim, place, bytes);
-                    self.drain_net(now + overhead, w);
-                    self.steals.remote += taken.len() as u64;
-                    if self.metering {
-                        self.metrics
-                            .add(Counter::steal_successes(2), taken.len() as u64);
-                    }
-                    if let Some(&first) = taken.first() {
-                        {
-                            let t = self.tasks.get_mut(first);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        self.hists.steal_remote.record(overhead);
-                        if self.tracing {
-                            let task = self.tasks.get(first).id;
-                            self.emit(
-                                now + overhead,
-                                w,
-                                TraceEventKind::StealSuccess {
-                                    tier: StealTier::Remote,
-                                    task,
-                                    victim,
-                                    latency_ns: overhead,
-                                },
-                            );
-                            self.emit(
-                                now + overhead,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        got = Some(first);
-                    }
-                    // Chunk extras land at the thief place and are
-                    // re-mapped there, feeding co-located workers.
-                    let arrive_at = now + overhead;
-                    for &t in taken.iter().skip(1) {
-                        {
-                            let t = self.tasks.get_mut(t);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        if self.tracing {
-                            let task = self.tasks.get(t).id;
-                            self.emit(
-                                arrive_at,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        self.schedule(arrive_at, EventKind::Arrive(t));
-                    }
-                    taken.clear();
-                    self.chunk_buf = taken;
+                    got = self.remote_steal(now, &mut overhead, w, place, victim);
                 }
                 StealStep::Quiesce => {
                     quiesce = true;
@@ -1567,24 +1466,24 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Fault-tolerant remote steal probe (Algorithm 1 line 24 under an
-    /// unreliable interconnect). The probe carries a timeout: a lost
-    /// request, lost reply, lost migration payload or dead victim all
-    /// surface as a timeout, after which the thief backs off
-    /// exponentially (with jitter) and retries the same victim while
-    /// its budget lasts, then falls through to the next victim in the
-    /// steal order. A chunk whose migration payload is lost stays
-    /// owned by the victim (lease): it is re-enqueued there once the
-    /// lease expires — never lost, never double-run.
-    fn remote_steal_faulty(
+    /// One remote steal from `victim`'s shared deque (Algorithm 1 line
+    /// 24): a probe, then a chunk migration or an empty reply. The
+    /// probe carries a timeout: a lost request, lost reply, lost
+    /// migration payload or dead victim all surface as a timeout, after
+    /// which the thief backs off exponentially (with jitter) and
+    /// retries the same victim while its budget lasts, then falls
+    /// through to the next victim in the steal order. A chunk whose
+    /// migration payload is lost stays owned by the victim (lease): it
+    /// is re-enqueued there once the lease expires — never lost, never
+    /// double-run. Under an empty fault plan no timeout ever fires.
+    fn remote_steal(
         &mut self,
         now: u64,
         overhead: &mut u64,
         w: GlobalWorkerId,
         place: PlaceId,
         victim: PlaceId,
-        got: &mut Option<TaskRef>,
-    ) {
+    ) -> Option<TaskRef> {
         let retry = self.retry;
         let mut attempt: u32 = 1;
         loop {
@@ -1594,130 +1493,72 @@ impl<'p> Engine<'p> {
                 .transmit(send_t, place, victim, MsgKind::StealRequest, 64);
             // A dead victim never answers, whatever happened to the
             // request on the wire.
-            if self.alive[victim.index()] {
-                if let SendFate::Delivered { cost_ns: c_req } = req {
-                    if self.board.shared_len[victim.index()] == 0 {
-                        if let SendFate::Delivered { cost_ns: c_rep } = self.net.transmit(
-                            send_t + c_req,
-                            victim,
-                            place,
-                            MsgKind::StealReply,
-                            16,
-                        ) {
-                            // Clean round trip, empty victim: behave
-                            // exactly like the fault-free failed probe.
-                            *overhead += c_req + c_rep;
-                            self.drain_net(now + *overhead, w);
-                            self.steals.failed_attempts += 1;
-                            return;
-                        }
-                        // Reply lost → thief times out below.
-                    } else {
-                        let victim_len = self.board.shared_len[victim.index()];
-                        let chunk = self.policy.remote_chunk_for(victim_len);
-                        let mut taken = std::mem::take(&mut self.chunk_buf);
-                        self.places[victim.index()]
-                            .shared
-                            .take_chunk_into(chunk, &mut taken);
-                        self.board.shared_len[victim.index()] -= taken.len();
-                        let mut bytes = 0;
-                        for &t in &taken {
-                            let locality = self.tasks.get(t).locality;
-                            assert!(
-                                self.policy.may_migrate(locality),
-                                "policy {} migrated a non-migratable task",
-                                self.policy.name()
-                            );
-                            bytes += self.cfg.cost.closure_bytes
-                                + self.tasks.get(t).footprint.total_bytes();
-                        }
-                        match self.net.transmit(
-                            send_t + c_req,
-                            victim,
-                            place,
-                            MsgKind::TaskMigrate,
-                            bytes,
-                        ) {
-                            SendFate::Delivered { cost_ns: c_mig } => {
-                                *overhead += c_req + c_mig;
-                                self.drain_net(now + *overhead, w);
-                                self.steals.remote += taken.len() as u64;
-                                if self.metering {
-                                    self.metrics
-                                        .add(Counter::steal_successes(2), taken.len() as u64);
-                                }
-                                if let Some(&first) = taken.first() {
-                                    {
-                                        let t = self.tasks.get_mut(first);
-                                        t.exec_home = place;
-                                        t.carried = true;
-                                    }
-                                    self.hists.steal_remote.record(*overhead);
-                                    if self.tracing {
-                                        let task = self.tasks.get(first).id;
-                                        self.emit(
-                                            now + *overhead,
-                                            w,
-                                            TraceEventKind::StealSuccess {
-                                                tier: StealTier::Remote,
-                                                task,
-                                                victim,
-                                                latency_ns: *overhead,
-                                            },
-                                        );
-                                        self.emit(
-                                            now + *overhead,
-                                            w,
-                                            TraceEventKind::Migration {
-                                                task,
-                                                from: victim,
-                                                to: place,
-                                            },
-                                        );
-                                    }
-                                    *got = Some(first);
-                                }
-                                let arrive_at = now + *overhead;
-                                for &t in taken.iter().skip(1) {
-                                    {
-                                        let t = self.tasks.get_mut(t);
-                                        t.exec_home = place;
-                                        t.carried = true;
-                                    }
-                                    if self.tracing {
-                                        let task = self.tasks.get(t).id;
-                                        self.emit(
-                                            arrive_at,
-                                            w,
-                                            TraceEventKind::Migration {
-                                                task,
-                                                from: victim,
-                                                to: place,
-                                            },
-                                        );
-                                    }
-                                    self.schedule(arrive_at, EventKind::Arrive(t));
-                                }
-                                taken.clear();
-                                self.chunk_buf = taken;
-                                return;
-                            }
-                            SendFate::Dropped => {
-                                // Migration payload lost. The victim
-                                // retains ownership of the chunk via
-                                // its lease table and re-enqueues the
-                                // tasks (still homed there) when the
-                                // lease expires; the thief times out.
-                                self.fault_stats.lease_reclaims += taken.len() as u64;
-                                let reclaim_at = send_t + c_req + self.lease_timeout_ns;
-                                for &t in &taken {
-                                    self.schedule(reclaim_at, EventKind::Arrive(t));
-                                }
-                                taken.clear();
-                                self.chunk_buf = taken;
-                            }
-                        }
+            let answered = match req {
+                SendFate::Delivered { cost_ns } if self.alive[victim.index()] => Some(cost_ns),
+                _ => None,
+            };
+            if let Some(c_req) = answered {
+                if self.board.shared_len[victim.index()] == 0 {
+                    let rep =
+                        self.net
+                            .transmit(send_t + c_req, victim, place, MsgKind::StealReply, 16);
+                    if let SendFate::Delivered { cost_ns: c_rep } = rep {
+                        *overhead += c_req + c_rep;
+                        self.drain_net(now + *overhead, w);
+                        self.steals.failed_attempts += 1;
+                        return None;
                     }
+                    // Reply lost → thief times out below.
+                } else {
+                    let victim_len = self.board.shared_len[victim.index()];
+                    let chunk = self.policy.remote_chunk_for(victim_len);
+                    let mut taken = std::mem::take(&mut self.chunk_buf);
+                    self.places[victim.index()]
+                        .shared
+                        .take_chunk_into(chunk, &mut taken);
+                    self.board.shared_len[victim.index()] -= taken.len();
+                    // Payload: a closure-sized reply header plus each
+                    // task's closure and footprint. The committed
+                    // fault-free results were produced at this price,
+                    // and it is the only one, so arming a fault plan
+                    // cannot make a migration cheaper.
+                    let mut bytes = self.cfg.cost.closure_bytes;
+                    for &t in &taken {
+                        let locality = self.tasks.get(t).locality;
+                        assert!(
+                            self.policy.may_migrate(locality),
+                            "policy {} migrated a non-migratable task",
+                            self.policy.name()
+                        );
+                        bytes +=
+                            self.cfg.cost.closure_bytes + self.tasks.get(t).footprint.total_bytes();
+                    }
+                    let mig = self.net.transmit(
+                        send_t + c_req,
+                        victim,
+                        place,
+                        MsgKind::TaskMigrate,
+                        bytes,
+                    );
+                    if let SendFate::Delivered { cost_ns: c_mig } = mig {
+                        *overhead += c_req + c_mig;
+                        self.drain_net(now + *overhead, w);
+                        let got = self.land_chunk(now, *overhead, w, place, victim, &taken);
+                        taken.clear();
+                        self.chunk_buf = taken;
+                        return got;
+                    }
+                    // Migration payload lost. The victim retains
+                    // ownership of the chunk via its lease table and
+                    // re-enqueues the tasks (still homed there) when the
+                    // lease expires; the thief times out.
+                    self.fault_stats.lease_reclaims += taken.len() as u64;
+                    let reclaim_at = send_t + c_req + self.lease_timeout_ns;
+                    for &t in &taken {
+                        self.schedule(reclaim_at, EventKind::Arrive(t));
+                    }
+                    taken.clear();
+                    self.chunk_buf = taken;
                 }
             }
             // Timeout: request, reply or payload never arrived — or
@@ -1734,12 +1575,68 @@ impl<'p> Engine<'p> {
                 );
             }
             if attempt > retry.budget {
-                return;
+                return None;
             }
             self.fault_stats.steal_retries += 1;
             *overhead += retry.backoff_ns(attempt, &mut self.fault_rng);
             attempt += 1;
         }
+    }
+
+    /// A migrated chunk reached the thief `w` at `now + latency`. The
+    /// first task is the thief's to run; the extras land at the thief
+    /// place and are re-mapped there, feeding co-located workers.
+    fn land_chunk(
+        &mut self,
+        now: u64,
+        latency: u64,
+        w: GlobalWorkerId,
+        place: PlaceId,
+        victim: PlaceId,
+        taken: &[TaskRef],
+    ) -> Option<TaskRef> {
+        self.steals.remote += taken.len() as u64;
+        if self.metering {
+            self.metrics
+                .add(Counter::steal_successes(2), taken.len() as u64);
+        }
+        let (&first, extras) = taken.split_first()?;
+        let at = now + latency;
+        self.hists.steal_remote.record(latency);
+        if self.tracing {
+            let task = self.tasks.get(first).id;
+            self.emit(
+                at,
+                w,
+                TraceEventKind::StealSuccess {
+                    tier: StealTier::Remote,
+                    task,
+                    victim,
+                    latency_ns: latency,
+                },
+            );
+        }
+        for &t in taken {
+            let task = self.tasks.get_mut(t);
+            task.exec_home = place;
+            task.carried = true;
+            if self.tracing {
+                let task = task.id;
+                self.emit(
+                    at,
+                    w,
+                    TraceEventKind::Migration {
+                        task,
+                        from: victim,
+                        to: place,
+                    },
+                );
+            }
+        }
+        for &t in extras {
+            self.schedule(at, EventKind::Arrive(t));
+        }
+        Some(first)
     }
 
     // -- execution -------------------------------------------------------------
@@ -1795,9 +1692,7 @@ impl<'p> Engine<'p> {
         for a in &scope.accesses {
             let local = a.home == place || (task.carried && task.footprint.contains(a.obj));
             if !local {
-                if !self.faulty {
-                    duration += self.net.remote_ref(place, a.home, a.bytes);
-                } else if self.alive[a.home.index()] {
+                if self.alive[a.home.index()] {
                     // Per-leg fault-aware round trip; each lost leg is
                     // retransmitted after an ack timeout.
                     let req = self.reliable_send(t, place, a.home, MsgKind::DataRequest, 64);
@@ -1832,11 +1727,9 @@ impl<'p> Engine<'p> {
 
         // Straggler model: a slow place stretches everything its
         // workers do (compute, spawn bookkeeping, stalls).
-        if self.faulty {
-            let f = self.slow[place.index()];
-            if f != 1.0 {
-                duration = (duration as f64 * f) as u64;
-            }
+        let f = self.slow[place.index()];
+        if f != 1.0 {
+            duration = (duration as f64 * f) as u64;
         }
 
         self.hists.granularity.record(duration);

@@ -68,7 +68,8 @@ impl Default for FaultConfig {
 
 impl FaultConfig {
     /// Whether this config injects nothing. The retry/detection knobs
-    /// alone don't count: the clean engine path never consults them.
+    /// alone don't count: the engine consults them only once a drop,
+    /// kill or timeout fires, and an empty config fires none.
     pub fn is_empty(&self) -> bool {
         self.net.is_empty()
             && self.kills.is_empty()

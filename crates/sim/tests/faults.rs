@@ -4,7 +4,7 @@
 
 use distws_core::rng::SplitMix64;
 use distws_core::{ClusterConfig, Locality, PlaceId, TaskSpec};
-use distws_netsim::{FaultPlan, LinkFault};
+use distws_netsim::{FaultPlan, LinkFault, Partition};
 use distws_sched::{AdaptiveWs, DistWs, DistWsNs, LifelineWs, Policy, RandomWs, X10Ws};
 use distws_sim::{FaultConfig, SimConfig, Simulation};
 use distws_trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -444,6 +444,56 @@ fn empty_fault_plan_is_byte_identical() {
     );
     assert_eq!(base_trace, exotic_trace, "empty plan perturbed the trace");
     assert!(base_report.contains("\"msgs_dropped\": 0"));
+}
+
+/// An armed plan whose only fault never fires prices every message
+/// exactly like the empty plan: fault-free is an empty plan on the one
+/// fault-aware path, not a separate code path with its own costs.
+#[test]
+fn inert_fault_plan_matches_fault_free() {
+    #[derive(Default)]
+    struct Jsonl(String);
+    impl TraceSink for Jsonl {
+        fn record(&mut self, ev: TraceEvent) {
+            self.0.push_str(&ev.to_jsonl());
+            self.0.push('\n');
+        }
+    }
+
+    let run = |faults: FaultConfig| {
+        let counter = Arc::new(AtomicU64::new(0));
+        let roots = spread_roots(4, 12, &counter);
+        let mut cfg = SimConfig::new(ClusterConfig::new(4, 2));
+        cfg.faults = faults;
+        let mut sink = Jsonl::default();
+        let mut sim = Simulation::with_config(cfg, Box::new(DistWs::default()));
+        let (report, _) = sim.run_roots_traced("inert", roots, &mut sink);
+        (report, sink.0)
+    };
+
+    let (base, base_trace) = run(FaultConfig::default());
+    let mut inert = FaultConfig::default();
+    inert.net.partitions.push(Partition {
+        a: PlaceId(0),
+        b: PlaceId(1),
+        from_ns: u64::MAX - 1,
+        until_ns: u64::MAX,
+    });
+    assert!(!inert.is_empty(), "the plan must be armed");
+    let (report, trace) = run(inert);
+    assert!(
+        base.steals.remote > 0,
+        "the harness must migrate tasks for the pricing to matter"
+    );
+    assert_eq!(
+        distws_json::to_string_pretty(&base),
+        distws_json::to_string_pretty(&report),
+        "an armed but inert plan perturbed the report"
+    );
+    assert_eq!(
+        base_trace, trace,
+        "an armed but inert plan perturbed the trace"
+    );
 }
 
 #[test]
